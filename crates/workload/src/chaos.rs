@@ -10,7 +10,7 @@
 //! Everything is data: the same plan against the same
 //! [`ClusterConfig`](crate::cluster::ClusterConfig) produces bit-identical
 //! [`ClusterResult`](crate::cluster::ClusterResult)s under the serial and
-//! the parallel fleet clock, any `advance_order` and any pool worker
+//! the calendar fleet clock, any `advance_order` and any pool worker
 //! count (enforced by `tests/cluster_chaos.rs`). Plans either come from
 //! [`FaultPlan::generate`] (a seeded splitmix64 chain — the bench's
 //! chaos section records the seed so any run can be replayed from its

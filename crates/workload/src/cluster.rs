@@ -23,10 +23,11 @@
 //!   retunes the destination's `Ch_BE` via [`Sgdrc::reconfigure`];
 //! * replicas are **heterogeneous** ([`Deployment::cached`] per
 //!   [`GpuModel`]) and fully independent between router decisions, so
-//!   the cluster clock can interleave their event loops in *any* order
-//!   — or run them **in parallel** on the persistent work-stealing
-//!   pool. Seeds derive via splitmix64 ([`cell_seed`]) like the
-//!   sweep's;
+//!   the cluster clock can interleave their event loops in *any* order.
+//!   The clock advances them inline on one thread: an epoch's busy
+//!   lanes carry too little work each (1–5 µs) for a pool batch to pay
+//!   for its coordination. Seeds derive via splitmix64
+//!   ([`cell_seed`]) like the sweep's;
 //! * per-replica latency sketches **merge** into fleet-wide percentiles
 //!   without re-sorting — the same [`LatencyHistogram`] path the sweep's
 //!   per-slice output uses.
@@ -40,8 +41,8 @@
 //!   scalars — next-pending time, LS backlog, windowed ratio, liveness
 //!   — in contiguous arrays the router, controller and clock read
 //!   densely; the cold per-replica state (engine, queues, policy,
-//!   sketches) lives in one boxed [`LaneCell`] per lane that only the
-//!   worker advancing that lane touches. Every lane mutation funnels
+//!   sketches) lives in one boxed [`LaneCell`] per lane, touched only
+//!   when that lane advances or is mutated. Every lane mutation funnels
 //!   through [`Fleet::mutate`], which re-derives the lane's hot mirror
 //!   afterwards — the mirrors are provably never stale.
 //! * **Calendar event queue.** Busy-lane selection reads an
@@ -147,8 +148,8 @@ pub struct ClusterConfig {
     /// Replica iteration order used by the serial cluster clock when it
     /// quiesces the fleet (empty = index order). Results are invariant
     /// to it — the knob exists so the determinism test can *prove* that
-    /// rather than assume it. The parallel clock ignores it: placement
-    /// on pool workers is scheduling, not semantics.
+    /// rather than assume it. The calendar clock ignores it: it always
+    /// advances busy lanes in ascending lane order.
     pub advance_order: Vec<usize>,
     /// Which fleet-clock schedule drives the run (results identical).
     pub clock: ClockKind,
@@ -927,11 +928,14 @@ impl PolicySlot {
 pub enum ClockKind {
     /// The fast clock: busy-lane selection comes from the incremental
     /// [`EventCalendar`] (O(busy lanes) per epoch, not O(replicas)),
-    /// and the busy set advances as **one** pool batch per epoch on the
-    /// persistent work-stealing pool — or inline, in ascending lane
-    /// order, when the pool has a single worker or the batch a single
-    /// lane. Per-replica events and histogram deltas merge in canonical
-    /// replica order afterwards.
+    /// and the busy set advances inline on the calling thread, in
+    /// ascending lane order, at every pool width. Per-replica events
+    /// and histogram deltas merge in canonical replica order
+    /// afterwards. It does not use the work-stealing pool: an epoch
+    /// holds 3.6–62 busy lanes of 1–5 µs each, too little work for a
+    /// pool batch to pay for its coordination — dispatching each epoch
+    /// as one batch ran at 0.59–0.94× the inline wall clock on a 2-CPU
+    /// host at the 8-replica, 512-replica and overloaded fleets.
     #[default]
     Parallel,
     /// The reference serial clock: every replica advances in
@@ -944,9 +948,9 @@ pub enum ClockKind {
 
 /// One replica's cold per-run state: the resumable simulation, its
 /// policy, and the per-lane bookkeeping (sketches, drain cursors,
-/// counters). Boxed so the [`Fleet`]'s hot arrays stay dense and a pool
-/// worker advancing the lane gets exclusive cache lines; shipped across
-/// worker threads as one `&mut LaneCell` per epoch batch.
+/// counters). Boxed so the [`Fleet`]'s hot arrays stay dense and each
+/// cell sits at a stable address the epoch loop can prefetch ahead of
+/// its advance.
 struct LaneCell<'s> {
     sim: ReplicaSim<'s>,
     policy: PolicySlot,
@@ -965,16 +969,6 @@ struct LaneCell<'s> {
     /// Completions per LS service that met the replica SLO *and* the
     /// service's soft deadline (`INFINITY` without a tier config).
     met_by_task: Vec<u64>,
-}
-
-/// Compile-time contract for the epoch batch: a [`LaneCell`] crosses
-/// worker threads behind the raw-pointer dispatch in [`quiesce`], which
-/// the compiler cannot check — assert `Send` explicitly so a non-`Send`
-/// field fails here, not in an unsound data race.
-#[allow(dead_code)]
-fn _assert_lane_cell_is_send() {
-    fn assert_send<T: Send>() {}
-    assert_send::<LaneCell<'static>>();
 }
 
 impl<'s> LaneCell<'s> {
@@ -1090,7 +1084,7 @@ struct Fleet<'s> {
     // Boxing keeps the hot mirror arrays below dense — an inline
     // `Vec<LaneCell>` would stride the controller/oracle scans across
     // multi-hundred-byte cells — and gives every cell a stable address
-    // for the prefetch and pool-dispatch pointer paths.
+    // for the prefetch path.
     #[allow(clippy::vec_box)]
     cells: Vec<Box<LaneCell<'s>>>,
     /// `next_pending_at` mirror (INFINITY = idle or dead).
@@ -1163,7 +1157,7 @@ impl<'s> Fleet<'s> {
 
     /// Re-derives lane `r`'s hot mirrors (and calendar key) from its
     /// cell — a pure read of simulation state, identical no matter
-    /// which clock schedule or worker advanced the lane.
+    /// which clock schedule advanced the lane.
     fn refresh(&mut self, r: usize) {
         let cell = &self.cells[r];
         let next = if self.alive[r] && self.advancing[r] {
@@ -1366,42 +1360,6 @@ impl<'s> Fleet<'s> {
     }
 }
 
-/// Shares the `cells` base pointer with pool workers for the epoch
-/// batch. Safety argument lives at the dispatch site in [`quiesce`].
-struct CellsPtr<'a, 's>(
-    *mut Box<LaneCell<'s>>,
-    std::marker::PhantomData<&'a mut LaneCell<'s>>,
-);
-// SAFETY: the pointer is only dereferenced at distinct indices (the busy
-// list holds unique lane ids), yielding disjoint `&mut` — see `quiesce`.
-unsafe impl Sync for CellsPtr<'_, '_> {}
-
-impl<'s> CellsPtr<'_, 's> {
-    /// # Safety
-    /// Callers must guarantee no two live references come from the same
-    /// index and `r` is within the cells slice.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn lane_mut(&self, r: usize) -> &mut LaneCell<'s> {
-        unsafe { &mut *self.0.add(r) }
-    }
-}
-
-/// Companion to [`CellsPtr`] for the per-batch hint buffer: worker `i`
-/// writes only slot `i`, so writes are disjoint by construction.
-struct HintsPtr<'a>(*mut f64, std::marker::PhantomData<&'a mut f64>);
-// SAFETY: each pool worker writes the slot of the batch index it was
-// handed — indices are unique per batch, so no slot is written twice.
-unsafe impl Sync for HintsPtr<'_> {}
-
-impl HintsPtr<'_> {
-    /// # Safety
-    /// Callers must guarantee `i` is in bounds and written at most once
-    /// per batch.
-    unsafe fn write(&self, i: usize, v: f64) {
-        unsafe { *self.0.add(i) = v };
-    }
-}
-
 /// Pulls the head of lane `r`'s cell toward L1 a little ahead of the
 /// epoch batch touching it — the busy list is known up front, and the
 /// lanes it names have usually been evicted since their last visit (a
@@ -1412,11 +1370,14 @@ impl HintsPtr<'_> {
 #[inline(always)]
 fn prefetch_lane(cells: &[Box<LaneCell<'_>>], r: usize) {
     #[cfg(target_arch = "x86_64")]
-    unsafe {
+    {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let p = std::ptr::addr_of!(**cells.get_unchecked(r)) as *const i8;
+        let p = std::ptr::addr_of!(*cells[r]) as *const i8;
         for line in 0..6 {
-            _mm_prefetch(p.add(line * 64), _MM_HINT_T0);
+            // SAFETY: a prefetch is a hint that never faults, even past
+            // the end of the cell; `wrapping_add` keeps the address
+            // arithmetic itself free of provenance requirements.
+            unsafe { _mm_prefetch(p.wrapping_add(line * 64), _MM_HINT_T0) };
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -1432,20 +1393,19 @@ fn prefetch_lane(cells: &[Box<LaneCell<'_>>], r: usize) {
 /// precedes the boundary; for the rest `advance` is a proven no-op —
 /// comes from [`EventCalendar::collect_due`] in O(busy + crossed
 /// buckets), is checked against the linear-scan oracle under
-/// `debug_assertions`, and advances as **one** pool batch per epoch
-/// (inline when the pool has one worker): the pool block-partitions the
-/// lanes across its deques and steal-on-empty balances whatever skew the
-/// epoch has. The serial schedule replays the reference clock exactly:
+/// `debug_assertions`, and advances inline on the calling thread in
+/// ascending lane order, each lane's mirrors refreshed right after its
+/// advance. The serial schedule replays the reference clock exactly:
 /// every alive lane, in `order`, advance only — the pre-PR clock kept no
 /// mirrors on the epoch path, so neither does this arm (consumers at
 /// tick/fault instants trigger an explicit sweep instead).
-#[allow(clippy::too_many_arguments)]
+///
+/// Busy lanes are never handed to the work-stealing pool; see
+/// [`ClockKind::Parallel`] for the measurement behind that.
 fn quiesce(
     fleet: &mut Fleet<'_>,
     busy: &mut Vec<u32>,
-    hints: &mut Vec<f64>,
     order: &[usize],
-    pool_par: bool,
     horizon_us: f64,
     until: Option<f64>,
     tel: &mut TelemetryRt,
@@ -1486,49 +1446,23 @@ fn quiesce(
         }
         let t0 = tel.clk();
         tel.prof.lanes_advanced += busy.len() as u64;
-        if pool_par && busy.len() > 1 {
-            hints.clear();
-            hints.resize(busy.len(), f64::NAN);
-            let ptr = CellsPtr(fleet.cells.as_mut_ptr(), std::marker::PhantomData);
-            let hp = HintsPtr(hints.as_mut_ptr(), std::marker::PhantomData);
-            let lanes: &[u32] = busy;
-            rayon::for_each_index(lanes.len(), move |i| {
-                let r = lanes[i] as usize;
-                // SAFETY: `lanes` holds strictly ascending (hence
-                // unique) indices < cells.len(), so every iteration
-                // dereferences a distinct element — disjoint `&mut`,
-                // no aliasing across workers. `LaneCell: Send` is
-                // asserted at compile time. The hint slot is indexed by
-                // the batch position `i`, unique per iteration.
-                let cell = unsafe { ptr.lane_mut(r) };
-                let hint = cell.advance_to(until);
-                unsafe { hp.write(i, hint.unwrap_or(f64::INFINITY)) };
-            });
-            for i in 0..busy.len() {
-                let hint = hints[i];
-                let hint = (hint != f64::INFINITY).then_some(hint);
-                fleet.refresh_hinted(busy[i] as usize, hint);
+        // Advance and refresh in one pass per lane (the lane's state is
+        // hot; a second sweep would re-touch every cell from cold), with
+        // the next lanes' cells prefetched while this one runs.
+        for i in 0..busy.len() {
+            let r = busy[i] as usize;
+            // Two-stage lookahead: headers of lane i+2 stream in while
+            // lane i runs, so the deep prefetch for lane i+1 (which must
+            // *read* those headers to find the engine's buffers) issues
+            // from cache hits.
+            if i + 2 < busy.len() {
+                prefetch_lane(&fleet.cells, busy[i + 2] as usize);
             }
-        } else {
-            // Inline schedule: advance and refresh in one pass per lane
-            // (the lane's state is hot; a second sweep would re-touch
-            // every cell from cold), with the next lane's cell
-            // prefetched while this one runs.
-            for i in 0..busy.len() {
-                let r = busy[i] as usize;
-                // Two-stage lookahead: headers of lane i+2 stream in
-                // while lane i runs, so the deep prefetch for lane i+1
-                // (which must *read* those headers to find the engine's
-                // buffers) issues from cache hits.
-                if i + 2 < busy.len() {
-                    prefetch_lane(&fleet.cells, busy[i + 2] as usize);
-                }
-                if i + 1 < busy.len() {
-                    fleet.cells[busy[i + 1] as usize].prefetch_hot();
-                }
-                let hint = fleet.cells[r].advance_to(until);
-                fleet.refresh_hinted(r, hint);
+            if i + 1 < busy.len() {
+                fleet.cells[busy[i + 1] as usize].prefetch_hot();
             }
+            let hint = fleet.cells[r].advance_to(until);
+            fleet.refresh_hinted(r, hint);
         }
         tel.prof.advance_ns += TelemetryRt::lap(t0);
     } else {
@@ -3201,8 +3135,8 @@ fn tier_flush(
 /// One controller tick's migration decision: move one BE job from the
 /// worst SLO-breaching replica onto the most underloaded replica that
 /// can host it. Scans run in replica-index order, so the decision is
-/// independent of the fleet clock's schedule (serial order or parallel
-/// placement alike). `dests` is caller-owned scratch.
+/// independent of the fleet clock's schedule (serial order or calendar
+/// order alike). `dests` is caller-owned scratch.
 #[allow(clippy::too_many_arguments)]
 fn controller_rebalance(
     cfg: &ClusterConfig,
@@ -3330,7 +3264,6 @@ pub struct ClusterCtx {
     cal: EventCalendar,
     views: Vec<ReplicaView>,
     busy: Vec<u32>,
-    hints: Vec<f64>,
     due: Vec<Requeue>,
     dests: Vec<usize>,
 }
@@ -3411,11 +3344,7 @@ pub fn run_cluster_prepared(
         ctx.stores.resize_with(n, LaneStore::default);
     }
 
-    // The calendar clock degenerates to inline (but still
-    // calendar-selected) advancing when there is nothing to overlap: a
-    // 1-replica fleet, or a pool with a single participant.
     let use_cal = cfg.clock == ClockKind::Parallel;
-    let pool_par = use_cal && n > 1 && rayon::current_pool_workers() > 1;
 
     let mut jobs_on: Vec<Vec<usize>> = prep.init_jobs_on.clone();
 
@@ -3537,7 +3466,6 @@ pub fn run_cluster_prepared(
     };
     let mut migrations: Vec<Migration> = Vec::new();
     let mut busy = std::mem::take(&mut ctx.busy);
-    let mut hints = std::mem::take(&mut ctx.hints);
     let mut due = std::mem::take(&mut ctx.due);
     let mut dests = std::mem::take(&mut ctx.dests);
     let chaos_on = cfg.chaos.is_some();
@@ -3593,9 +3521,7 @@ pub fn run_cluster_prepared(
             quiesce(
                 &mut fleet,
                 &mut busy,
-                &mut hints,
                 order,
-                pool_par,
                 cfg.horizon_us,
                 Some(f.at_us),
                 &mut tel,
@@ -3641,9 +3567,7 @@ pub fn run_cluster_prepared(
             quiesce(
                 &mut fleet,
                 &mut busy,
-                &mut hints,
                 order,
-                pool_par,
                 cfg.horizon_us,
                 Some(t_scale),
                 &mut tel,
@@ -3676,15 +3600,13 @@ pub fn run_cluster_prepared(
         }
         let tick_due = next_tick < t_arr && next_tick <= t_retry && next_tick < cfg.horizon_us;
         if tick_due {
-            // Quiesce the fleet up to the tick — one epoch, every busy
-            // replica in parallel — then drain and rebalance in
-            // canonical replica order.
+            // Quiesce the fleet up to the tick — one epoch over every
+            // busy replica — then drain and rebalance in canonical
+            // replica order.
             quiesce(
                 &mut fleet,
                 &mut busy,
-                &mut hints,
                 order,
-                pool_par,
                 cfg.horizon_us,
                 Some(next_tick),
                 &mut tel,
@@ -3866,9 +3788,7 @@ pub fn run_cluster_prepared(
             quiesce(
                 &mut fleet,
                 &mut busy,
-                &mut hints,
                 order,
-                pool_par,
                 cfg.horizon_us,
                 Some(t_retry),
                 &mut tel,
@@ -3887,14 +3807,12 @@ pub fn run_cluster_prepared(
         arrivals_by_task[a.task as usize] += 1;
         // Quiesce every replica up to the arrival so the router sees a
         // consistent instant; replicas are independent, so neither the
-        // serial order nor the parallel schedule matters (the
-        // determinism tests permute both).
+        // serial order nor the pool width matters (the determinism
+        // tests vary both).
         quiesce(
             &mut fleet,
             &mut busy,
-            &mut hints,
             order,
-            pool_par,
             cfg.horizon_us,
             Some(a.at_us),
             &mut tel,
@@ -4041,16 +3959,7 @@ pub fn run_cluster_prepared(
     }
     // Drain: no further arrivals, faults, retries or ticks — run every
     // surviving replica out to the horizon.
-    quiesce(
-        &mut fleet,
-        &mut busy,
-        &mut hints,
-        order,
-        pool_par,
-        cfg.horizon_us,
-        None,
-        &mut tel,
-    );
+    quiesce(&mut fleet, &mut busy, order, cfg.horizon_us, None, &mut tel);
     for r in 0..n {
         fleet.cells[r].drain(&prep.slos[r], &trt.soft, cfg.streaming, r as u32, &mut tel);
     }
@@ -4259,7 +4168,6 @@ pub fn run_cluster_prepared(
     ctx.view_lane = fleet.view_lane;
     ctx.lane_slot = fleet.lane_slot;
     ctx.busy = busy;
-    ctx.hints = hints;
     ctx.due = due;
     ctx.dests = dests;
     result

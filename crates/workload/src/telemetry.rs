@@ -15,7 +15,7 @@
 //!   field itself, which is `None`).
 //! * **Deterministic.** Every event is recorded at a decision point of
 //!   the fleet clock (fault < scale < tick < retry < arrival), which
-//!   both the serial and the epoch-parallel clocks execute in the same
+//!   both the serial and the calendar clocks execute in the same
 //!   canonical order — so the merged event streams and sampled series
 //!   are bit-identical across clocks and worker counts. Wall-clock
 //!   [`ClockProfile`] numbers are *measurements*, not simulation state:
@@ -275,7 +275,7 @@ pub struct ClockProfile {
     /// Time selecting due lanes (calendar `collect_due` or the serial
     /// scan's busy filter).
     pub collect_ns: u64,
-    /// Time advancing due lanes (pool batch or inline loop) plus
+    /// Time advancing due lanes (the inline epoch loop) plus
     /// mirror refreshes.
     pub advance_ns: u64,
     /// Time routing arrivals (router decision + injection).

@@ -113,9 +113,9 @@ proptest! {
     }
 }
 
-/// Equal keys emit in ascending lane order — the tie-break the parallel
-/// epoch batch and the serial reference both use, so per-epoch dispatch
-/// order is stable across the two selection paths.
+/// Equal keys emit in ascending lane order — the tie-break the calendar
+/// clock's epoch loop and the serial reference both use, so per-epoch
+/// dispatch order is stable across the two selection paths.
 #[test]
 fn equal_keys_emit_in_lane_index_order() {
     let mut cal = EventCalendar::new();

@@ -1,4 +1,5 @@
-//! Parallel-fleet-clock contracts: the epoch-parallel clock must be
+//! Calendar-clock contracts: `ClockKind::Parallel` (the calendar clock,
+//! which advances busy lanes inline at every pool width) must be
 //! **bit-identical** to the reference serial clock — every completion
 //! timestamp, migration, preemption count and histogram bin — for every
 //! sharing system, any replica count, any `advance_order` permutation

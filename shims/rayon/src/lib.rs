@@ -12,10 +12,9 @@
 //! steal-on-empty, built once per process with the worker count
 //! [`current_num_threads`] reports at that moment (`SGDRC_THREADS`
 //! honored at pool build), workers parked between calls. Dispatching a
-//! batch therefore costs no thread spawn — the property fine-grained
-//! callers like the fleet simulator's epoch clock depend on. Tiny
-//! batches (`len() <= 1`), empty inputs and 1-worker pools run
-//! sequentially inline without touching the pool machinery at all.
+//! batch therefore costs no thread spawn. Tiny batches (`len() <= 1`),
+//! empty inputs and 1-worker pools run sequentially inline without
+//! touching the pool machinery at all.
 //! Worker panics propagate to the caller, as with rayon.
 //!
 //! The per-call `thread::scope` dispatch this pool replaced survives in
@@ -67,17 +66,6 @@ fn detected_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(4)
-}
-
-/// Runs `f(i)` for every `i in 0..n` across the persistent pool and
-/// returns when all have finished — the index-batch primitive the fleet
-/// clock's epoch dispatch uses directly, bypassing the materializing
-/// `ParIter` adapters (no per-epoch `Vec<&mut Lane>` build, no result
-/// collection). Sequential inline when `n <= 1` or the pool has a
-/// single participant, in which case the call allocates nothing.
-/// Closure panics propagate to the caller, as with rayon scopes.
-pub fn for_each_index<F: Fn(usize) + Sync>(n: usize, f: F) {
-    pool::run_batch(n, &f);
 }
 
 /// Runs both closures, potentially in parallel, and returns both
