@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the hot paths of the reproduction:
 //! channel-hash evaluation, the coloring index transform, the colored
-//! allocator, MLP hash-learner inference, the contention model and a full
-//! serving-scenario step.
+//! allocator, MLP hash-learner inference, the contention model, a full
+//! serving-scenario step, the latency sketch and the fleet router's
+//! join-shortest-backlog decision.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gpu_spec::{GpuModel, PhysAddr};
@@ -208,6 +209,31 @@ fn bench_latency_histogram(c: &mut Criterion) {
     });
 }
 
+fn bench_routing(c: &mut Criterion) {
+    use workload::{JoinShortestBacklog, ReplicaView, RoutingPolicy};
+    // A steady fleet as the router sees it between arrivals: every lane
+    // healthy, small backlogs with many ties, a few lanes breaching.
+    for n in [8usize, 512] {
+        let views: Vec<ReplicaView> = (0..n)
+            .map(|i| ReplicaView {
+                gpu: if i % 2 == 0 {
+                    GpuModel::RtxA2000
+                } else {
+                    GpuModel::Gtx1080
+                },
+                backlog: 1 + (i * 2654435761) % 5,
+                window_p99_ratio: if i % 7 == 3 { 1.2 } else { 0.8 },
+                resident_be: i % 2,
+                healthy: true,
+            })
+            .collect();
+        let mut router = JoinShortestBacklog;
+        c.bench_function(&format!("routing/shortest_backlog_{n}"), |b| {
+            b.iter(|| router.route(black_box(&views), 0, 0.0))
+        });
+    }
+}
+
 criterion_group!(
     benches,
     bench_channel_hash,
@@ -216,6 +242,7 @@ criterion_group!(
     bench_mlp_predict,
     bench_contention_model,
     bench_serving_slice,
-    bench_latency_histogram
+    bench_latency_histogram,
+    bench_routing
 );
 criterion_main!(benches);

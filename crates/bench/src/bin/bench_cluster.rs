@@ -22,7 +22,8 @@
 //! share one CPU). The fleet clock advances its lanes inline at every
 //! pool width, so its curve is a canary: it should stay flat, and a
 //! drop means pool cost has leaked into the fleet path. The sweep's
-//! curve is the one that measures parallel scaling. The pool-dispatch
+//! curve is the one that measures parallel scaling, and the gate at the
+//! bottom asserts it scales at min(4, CPUs) threads. The pool-dispatch
 //! microbenchmark — persistent pool vs. the per-call `thread::scope`
 //! dispatch it replaced — isolates the pool's own cost.
 //!
@@ -737,7 +738,7 @@ fn run_tiers_bench(smoke: bool, ctx: &mut ClusterCtx) -> (Json, bool) {
 ///    stripped of its telemetry payload equals the recorder-off run on
 ///    every `ClusterResult` field.
 /// 2. **Overhead ≤5%** (gated): wall clock of the recorder-on arm vs
-///    the recorder-off arm — min of seven runs each, *interleaved*
+///    the recorder-off arm — min of fifteen runs each, *interleaved*
 ///    (off, on, off, on, …) after a warmup pair, so box-load drift
 ///    lands on both arms equally instead of biasing whichever arm ran
 ///    second.
@@ -774,13 +775,13 @@ fn run_telemetry_bench(trace_path: Option<&str>, ctx: &mut ClusterCtx) -> (Json,
         (r, dt)
     };
     // Warm both arms (context high-water marks, page cache), then time
-    // them interleaved: min-of-7 per arm over the same wall window, so
+    // them interleaved: min-of-15 per arm over the same wall window, so
     // a box-load spike cannot bias one arm.
     run(&prep_off, ctx);
     run(&prep_on, ctx);
     let (mut off_s, mut on_s) = (f64::INFINITY, f64::INFINITY);
     let (mut off, mut on) = (None, None);
-    for _ in 0..7 {
+    for _ in 0..15 {
         let (r, t) = run(&prep_off, ctx);
         off_s = off_s.min(t);
         off = Some(r);
@@ -788,7 +789,7 @@ fn run_telemetry_bench(trace_path: Option<&str>, ctx: &mut ClusterCtx) -> (Json,
         on_s = on_s.min(t);
         on = Some(r);
     }
-    let (off, on) = (off.expect("seven runs"), on.expect("seven runs"));
+    let (off, on) = (off.expect("fifteen runs"), on.expect("fifteen runs"));
 
     // Contract 1: the recorder observes, it never steers.
     let mut stripped = on.clone();
@@ -927,8 +928,12 @@ fn run_scale_probe(smoke: bool) {
     let _ = run_fleet(&cfg, RouterKind::ShortestBacklog, &mut ctx);
     let fleet_run = run_fleet(&cfg, RouterKind::ShortestBacklog, &mut ctx);
 
-    let grid = SweepGrid::fig17_style(if smoke { 1.5e3 } else { 3e3 }, if smoke { 1 } else { 3 });
+    let grid = SweepGrid::fig17_style(if smoke { 1.5e3 } else { 3e4 }, if smoke { 1 } else { 3 });
     let cells = grid.cells();
+    // Likewise one warm-up sweep: it compiles every GPU's deployment
+    // (serial, once per process), so the timed pass measures only the
+    // pool fan-out the sweep gate is about.
+    let _ = run_sweep(&cells, &SweepOptions::default());
     let sweep_start = Instant::now();
     let sweep = run_sweep(&cells, &SweepOptions::default());
     let sweep_wall_s = sweep_start.elapsed().as_secs_f64();
@@ -1448,14 +1453,24 @@ fn main() {
     // extra env-matrix smoke steps pass --skip-probes for that reason.
     let skip_probes = args.iter().any(|a| a == "--skip-probes");
     let mut ts_points = Vec::new();
-    let mut fleet_eps: Vec<(usize, f64)> = Vec::new();
-    let probe_threads: &[usize] = if skip_probes { &[] } else { &[1, 2, 4, 8] };
-    if !skip_probes {
-        sgdrc_bench::header(
-            "thread scaling — inline fleet clock (canary) + sweep, SGDRC_THREADS ∈ {1,2,4,8}",
-        );
+    // (threads, fleet events/s, sweep cells/s) per probe point.
+    let mut rates: Vec<(usize, f64, f64)> = Vec::new();
+    // The sweep gate's thread count: 4, or every CPU on a smaller box
+    // (probed even when it is not one of the curve's points).
+    let sweep_k = detected_cpus.min(4);
+    let mut probe_threads = vec![1, 2, 4, 8];
+    if !probe_threads.contains(&sweep_k) {
+        probe_threads.push(sweep_k);
+        probe_threads.sort_unstable();
     }
-    for &k in probe_threads {
+    if skip_probes {
+        probe_threads.clear();
+    } else {
+        sgdrc_bench::header(&format!(
+            "thread scaling — inline fleet clock (canary) + sweep, SGDRC_THREADS ∈ {probe_threads:?}"
+        ));
+    }
+    for &k in &probe_threads {
         let Some(line) = spawn_probe("--scale-probe", k, smoke) else {
             eprintln!("WARNING: scale probe at {k} threads failed to run");
             continue;
@@ -1478,7 +1493,7 @@ fn main() {
                 ""
             }
         );
-        fleet_eps.push((k, eps));
+        rates.push((k, eps, cps));
         ts_points.push(
             Json::obj()
                 .set("threads", k)
@@ -1490,24 +1505,26 @@ fn main() {
                 .set("sweep_wall_s", sweep_wall),
         );
     }
-    let eps_at = |k: usize| {
-        fleet_eps
+    let rates_at = |k: usize| {
+        rates
             .iter()
-            .find(|&&(t, _)| t == k)
-            .map(|&(_, e)| e)
-            .unwrap_or(f64::NAN)
+            .find(|&&(t, _, _)| t == k)
+            .map(|&(_, eps, cps)| (eps, cps))
+            .unwrap_or((f64::NAN, f64::NAN))
     };
-    let speedup_at_4 = eps_at(4) / eps_at(1);
+    let speedup_at_4 = rates_at(4).0 / rates_at(1).0;
     let at_4_oversubscribed = 4 > detected_cpus;
+    let sweep_cells_speedup = rates_at(sweep_k).1 / rates_at(1).1;
     if !skip_probes {
         println!(
-            "fleet events/s speedup at 4 threads vs 1: {speedup_at_4:.2}×{}",
+            "fleet events/s speedup at 4 threads vs 1: {speedup_at_4:.2}×{} (canary, ungated)",
             if at_4_oversubscribed {
                 "  (oversubscribed)"
             } else {
                 ""
             }
         );
+        println!("sweep cells/s speedup at {sweep_k} threads vs 1: {sweep_cells_speedup:.2}×");
     }
 
     // --- pool-dispatch microbenchmark (persistent pool vs thread::scope) --
@@ -1807,6 +1824,8 @@ fn main() {
                 )
                 .set("fleet_events_speedup_at_4_threads", speedup_at_4)
                 .set("speedup_at_4_threads_oversubscribed", at_4_oversubscribed)
+                .set("sweep_speedup_threads", sweep_k)
+                .set("sweep_cells_speedup", sweep_cells_speedup)
                 .set("points", Json::Arr(ts_points)),
         )
         .set(
@@ -1864,7 +1883,7 @@ fn main() {
     }
     // Telemetry gate: bit-identity is hard-asserted inside the section;
     // the ≤5% recorder overhead binds in every mode (the scenario is
-    // smoke-scale by construction, min-of-5 damps scheduler noise).
+    // smoke-scale by construction, min-of-15 damps scheduler noise).
     if !telemetry_ok {
         eprintln!("WARNING: flight recorder overhead exceeded 5% (see telemetry section)");
         std::process::exit(1);
@@ -1875,21 +1894,21 @@ fn main() {
         );
         std::process::exit(1);
     }
-    // Parallel-clock perf gates. On a multi-core box the fleet clock
-    // itself must scale (≥1.3× events/s at 4 threads); on a 1-CPU box
-    // the thread curve is oversubscribed by construction, so the
-    // persistent pool's dispatch advantage over per-call thread::scope
-    // (≥2× on small batches) carries the claim instead. The fleet clock
-    // now advances its lanes inline at every pool width, so the 4-thread
-    // gate can no longer pass on a box with 4 or more cores; it stays
-    // unchanged until it is retired or re-targeted at the sweep.
+    // Pool perf gates. The fleet clock advances its lanes inline at
+    // every pool width, so the pool's parallel work is the sweep's
+    // fan-out: on a multi-core box it must scale (≥1.3× cells/s at
+    // k = min(4, CPUs) threads vs 1, never oversubscribed). The fleet
+    // column's 4-thread speedup stays in the JSON as an ungated canary.
+    // On a 1-CPU box there is nothing to scale onto, so the persistent
+    // pool's dispatch advantage over per-call thread::scope (≥2× on
+    // small batches) carries the claim alone.
     if !smoke && !skip_probes {
         // NaN (a failed probe) must fail the gate too, hence the
         // negated bindings rather than `< 1.3` / `< 2.0`.
-        let clock_scales = speedup_at_4 >= 1.3;
-        if detected_cpus >= 4 && !clock_scales {
+        let sweep_scales = sweep_cells_speedup >= 1.3;
+        if sweep_k >= 2 && !sweep_scales {
             eprintln!(
-                "WARNING: fleet clock speedup at 4 threads is {speedup_at_4:.2}× (< 1.3×) on a {detected_cpus}-core box"
+                "WARNING: sweep cells/s speedup at {sweep_k} threads is {sweep_cells_speedup:.2}× (< 1.3×) on a {detected_cpus}-core box"
             );
             std::process::exit(1);
         }

@@ -17,6 +17,7 @@
 use gpu_spec::GpuModel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use workload::cluster::{ClusterConfig, ClusterCtx, RouterKind};
 use workload::runner::Deployment;
 use workload::trace::TraceConfig;
@@ -47,6 +48,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// The allocation counter is process-wide, and the test harness runs
+/// tests on parallel threads: one test's set-up allocations would land
+/// in the other's measurement window. Each test holds this lock for its
+/// whole body so their windows never overlap.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the other still measures cleanly.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn fleet_cfg(horizon_us: f64) -> ClusterConfig {
     let mut cfg = ClusterConfig::new(vec![GpuModel::RtxA2000; 64], SystemKind::Sgdrc);
     cfg.horizon_us = horizon_us;
@@ -61,6 +73,7 @@ fn fleet_cfg(horizon_us: f64) -> ClusterConfig {
 /// doubled epoch count adds (essentially) zero allocations.
 #[test]
 fn epoch_path_allocates_nothing_in_steady_state() {
+    let _serial = serial();
     if cfg!(debug_assertions) {
         // Debug builds run the retained linear-scan oracle every epoch
         // (it materializes its expected busy set) plus the engine's own
@@ -121,6 +134,7 @@ fn epoch_path_allocates_nothing_in_steady_state() {
 /// thousands of times here.
 #[test]
 fn enabled_recorder_allocates_only_at_creation() {
+    let _serial = serial();
     if cfg!(debug_assertions) {
         eprintln!("skipping: debug_assertions oracle allocates by design; run under --release");
         return;
