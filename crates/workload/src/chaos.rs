@@ -134,11 +134,12 @@ impl Default for RetryConfig {
 /// is shed first; pending LS requests of the lowest-priority service go
 /// only under sustained overload.
 ///
-/// This is the tier-blind legacy path: with a
-/// [`TiersConfig`](crate::tiers::TiersConfig) attached to the cluster
-/// config it is replaced by the tier-ordered brownout ladder (park BE →
-/// queue low tiers → shed low tiers, with hysteresis), which also runs
-/// without a fault plan — overload needs no crash to matter.
+/// This is the tier-blind (legacy) rule of the fleet's overload tick:
+/// with a [`TiersConfig`](crate::tiers::TiersConfig) attached to the
+/// cluster config the tick applies the tier-ordered brownout ladder
+/// instead (park BE → queue low tiers → shed low tiers, with
+/// hysteresis), which also runs without a fault plan — overload needs
+/// no crash to matter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DegradationConfig {
     /// Shed BE: with at least one replica dead and either the mean

@@ -186,10 +186,11 @@ pub struct ClusterConfig {
     /// `ClusterResult` field.
     pub telemetry: Option<TelemetryConfig>,
     /// Tiered SLOs (see [`crate::tiers`]): one [`crate::tiers::TierConfig`]
-    /// per LS service driving admission control, the brownout ladder in
-    /// `degrade()`, per-tier retry budgets/deadlines, tier-aware router
-    /// tie-breaking and weighted goodput. `None` (the default) keeps
-    /// the tier-blind simulator bit-identical to previous behaviour.
+    /// per LS service driving admission control, the brownout ladder
+    /// (the tiered rule of the fleet's overload tick), per-tier retry
+    /// budgets/deadlines, tier-aware router tie-breaking and weighted
+    /// goodput. `None` (the default) keeps the tier-blind simulator
+    /// bit-identical to previous behaviour.
     pub tiers: Option<TiersConfig>,
 }
 
@@ -496,14 +497,15 @@ pub trait RoutingPolicy {
     /// arrival time. Returns a replica index `< views.len()`.
     fn route(&mut self, views: &[ReplicaView], task: usize, at_us: f64) -> usize;
 
-    /// Tier-aware variant, called instead of [`route`](Self::route)
-    /// when the run carries a [`crate::tiers::TiersConfig`]. `tier_rank`
-    /// is the request's tier rank (0 = highest-priority tier); built-in
-    /// implementations break ties toward higher tiers on healthy,
-    /// non-breaching lanes and must keep rank 0 identical to the
-    /// tier-blind `route` (so a single-tier config reproduces tier-blind
-    /// routing exactly). Stateful routers must consume the same internal
-    /// state either way — the p2c chain draws exactly twice per call.
+    /// Tier-aware variant — the fleet clock routes every delivery
+    /// through it, at rank 0 when the run carries no
+    /// [`crate::tiers::TiersConfig`]. `tier_rank` is the request's tier
+    /// rank (0 = highest-priority tier); built-in implementations break
+    /// ties toward higher tiers on healthy, non-breaching lanes. Every
+    /// implementation must keep rank 0 identical to the tier-blind
+    /// [`route`](Self::route), internal state included, so tier-blind
+    /// runs and single-tier configs route exactly as `route` would
+    /// (the p2c chain draws exactly twice per call either way).
     fn route_with_tier(
         &mut self,
         views: &[ReplicaView],
@@ -652,34 +654,23 @@ impl RoutingPolicy for SloAwarePowerOfTwo {
     }
 
     /// Tier-aware tie-break with the same two draws per call: the top
-    /// tier keeps the full SLO-aware key (identical to the tier-blind
-    /// route); lower tiers lose the breach-avoidance privilege and
-    /// compare on health + backlog only, yielding non-breaching lanes
-    /// to higher tiers when both candidates are loaded.
+    /// tier is the tier-blind route itself; lower tiers lose the
+    /// breach-avoidance privilege and compare on health + backlog only,
+    /// yielding non-breaching lanes to higher tiers when both candidates
+    /// are loaded.
     fn route_with_tier(
         &mut self,
         views: &[ReplicaView],
-        _task: usize,
+        task: usize,
         tier_rank: u32,
-        _at_us: f64,
+        at_us: f64,
     ) -> usize {
+        if tier_rank == 0 {
+            return self.route(views, task, at_us);
+        }
         let n = views.len();
         let i = self.draw(n);
         let j = self.draw(n);
-        if tier_rank == 0 {
-            let key = |r: usize| {
-                (
-                    !views[r].healthy,
-                    views[r].window_p99_ratio > 1.0,
-                    views[r].backlog,
-                    r,
-                )
-            };
-            if key(i) <= key(j) {
-                return i;
-            }
-            return j;
-        }
         let key = |r: usize| (!views[r].healthy, views[r].backlog, r);
         if key(i) <= key(j) {
             i
@@ -1020,6 +1011,16 @@ impl<'s> LaneCell<'s> {
         self.sim.dispatch(self.policy.as_dyn());
     }
 
+    /// Parks BE task `b`: stops its future launches and evicts its
+    /// running kernel, if any (§7.1 eviction flag).
+    fn park_be(&mut self, b: usize) {
+        let st = self.sim.state_mut();
+        st.set_be_active(b, false);
+        if st.be_launch.map(|l| l.task) == Some(b) {
+            st.preempt_be();
+        }
+    }
+
     fn inject(&mut self, task: usize, at_us: f64) {
         self.sim.inject_arrival(self.policy.as_dyn(), task, at_us);
         self.routed += 1;
@@ -1162,9 +1163,10 @@ struct Fleet<'s> {
     /// serial reference clock rebuilds the whole vector every decision
     /// instant, exactly as the pre-SoA clock did.
     views: Vec<ReplicaView>,
-    /// `views[r].healthy` population count — the calendar clock's O(1)
-    /// form of the all-unhealthy check. Maintained by `rebuild_views`
-    /// and `patch_health`; not meaningful on the serial schedule.
+    /// `views[r].healthy` population count — the O(1) all-unhealthy
+    /// check behind every delivery. Recounted by `rebuild_views`, which
+    /// the serial schedule runs at every delivery, and patched by
+    /// `patch_health` on the calendar schedule.
     n_healthy: usize,
     /// `!alive` population count. While zero (the overwhelmingly common
     /// case), `patch_health` returns immediately: alive lanes are
@@ -1628,31 +1630,55 @@ impl ChaosRt {
             .fold(f64::INFINITY, f64::min)
     }
 
+    /// Counts a request dropped past its deadline or retry budget and
+    /// records the drop on `track`.
+    fn drop_timed_out(&mut self, task: usize, t: f64, track: u32, tel: &mut TelemetryRt) {
+        self.timeout_drops += 1;
+        self.drops_by_task[task] += 1;
+        tel.record(t, track, EventKind::TimeoutDropped { task: task as u32 });
+    }
+
     /// Hands an orphaned request to the retry queue — or straight to the
     /// drop counter when the effective policy is drop-on-crash
     /// (`max_retries` 0; per-tier with a tier config, fleet-wide
     /// `RetryConfig::max_retries` otherwise — the caller passes
     /// [`TierRt::max_retries_for`], which folds both cases). `from`
     /// attributes the requeue to the lane the request was ripped out of
-    /// (`None` = an arrival refused fleet-wide). Returns whether the
-    /// request was actually queued (`false` = dropped immediately).
+    /// (`None` = an arrival refused fleet-wide); the flight recorder
+    /// gets a `Requeued` event, plus `TimeoutDropped` on an immediate
+    /// drop, on that lane's track (the fleet track for `None`).
+    #[allow(clippy::too_many_arguments)]
     fn requeue(
         &mut self,
         task: usize,
         arrival_us: f64,
         t: f64,
         from: Option<usize>,
+        cause: RequeueCause,
         max_retries: u32,
-    ) -> bool {
+        tel: &mut TelemetryRt,
+    ) {
         self.requeued += 1;
-        match from {
-            Some(r) => self.lane_requeued[r] += 1,
-            None => self.refused += 1,
-        }
+        let track = match from {
+            Some(r) => {
+                self.lane_requeued[r] += 1;
+                r as u32
+            }
+            None => {
+                self.refused += 1;
+                FLEET_TRACK
+            }
+        };
+        tel.record(
+            t,
+            track,
+            EventKind::Requeued {
+                task: task as u32,
+                cause,
+            },
+        );
         if max_retries == 0 {
-            self.timeout_drops += 1;
-            self.drops_by_task[task] += 1;
-            false
+            self.drop_timed_out(task, t, track, tel);
         } else {
             self.retry_q.push(Requeue {
                 task,
@@ -1661,7 +1687,6 @@ impl ChaosRt {
                 attempt: 1,
                 ready_at: t + self.retry.backoff_us,
             });
-            true
         }
     }
 }
@@ -2117,38 +2142,23 @@ fn drain_lane_start(
     drained.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     ert.drain_requeued += drained.len() as u64;
     for &(task, arrival_us) in &drained {
-        let queued = rt.requeue(task, arrival_us, t, Some(v), trt.max_retries_for(task));
-        if tel.is_on() {
-            let task = task as u32;
-            tel.record(
-                t,
-                v as u32,
-                EventKind::Requeued {
-                    task,
-                    cause: RequeueCause::Drain,
-                },
-            );
-            if !queued {
-                tel.record(t, v as u32, EventKind::TimeoutDropped { task });
-            }
-        }
+        let budget = trt.max_retries_for(task);
+        rt.requeue(
+            task,
+            arrival_us,
+            t,
+            Some(v),
+            RequeueCause::Drain,
+            budget,
+            tel,
+        );
     }
     rt.drain_buf = drained;
     let jobs = std::mem::take(&mut jobs_on[v]);
     for job in jobs {
         let model = cfg.be_jobs[job];
-        let b = prep
-            .fleet_models
-            .iter()
-            .position(|&m| m == model)
-            .expect("job model is a fleet model");
-        fleet.mutate(v, |cell| {
-            let st = cell.sim.state_mut();
-            st.set_be_active(b, false);
-            if st.be_launch.map(|l| l.task) == Some(b) {
-                st.preempt_be();
-            }
-        });
+        let b = be_slot(&prep.fleet_models, model);
+        fleet.mutate(v, |cell| cell.park_be(b));
         match be_landing_site(cfg, fleet, jobs_on, model, Some(v)) {
             Some(dst) => {
                 place_be_job(
@@ -2442,6 +2452,15 @@ fn retune_cell(cfg: &ClusterConfig, dep: &Deployment, resident: usize, cell: &mu
     }
 }
 
+/// The BE task slot of `model` on every lane (its index in the sorted
+/// fleet BE model set).
+fn be_slot(fleet_models: &[usize], model: usize) -> usize {
+    fleet_models
+        .iter()
+        .position(|&m| m == model)
+        .expect("job model is a fleet model")
+}
+
 /// The surviving replica a BE job lands on: a routable member, alive,
 /// not already hosting the model, shortest backlog (ties → lowest
 /// index). Draining/warm/retired lanes never receive BE work. `None`
@@ -2480,10 +2499,7 @@ fn place_be_job(
     let model = cfg.be_jobs[job];
     jobs_on[dst].push(job);
     if !rt.job_shed[job] {
-        let b = fleet_models
-            .iter()
-            .position(|&m| m == model)
-            .expect("job model is a fleet model");
+        let b = be_slot(fleet_models, model);
         let resident = jobs_on[dst].len();
         fleet.mutate(dst, |cell| {
             cell.sim.state_mut().set_be_active(b, true);
@@ -2545,27 +2561,16 @@ fn apply_fault(
             fleet.mutate(r, |cell| cell.sim.state_mut().crash_drain(&mut drained));
             drained.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
             for &(task, arrival_us) in &drained {
-                let queued = rt.requeue(
+                let budget = trt.max_retries_for(task);
+                rt.requeue(
                     task,
                     arrival_us,
                     f.at_us,
                     Some(r),
-                    trt.max_retries_for(task),
+                    RequeueCause::Crash,
+                    budget,
+                    tel,
                 );
-                if tel.is_on() {
-                    let task = task as u32;
-                    tel.record(
-                        f.at_us,
-                        r as u32,
-                        EventKind::Requeued {
-                            task,
-                            cause: RequeueCause::Crash,
-                        },
-                    );
-                    if !queued {
-                        tel.record(f.at_us, r as u32, EventKind::TimeoutDropped { task });
-                    }
-                }
             }
             rt.drain_buf = drained;
             // Evacuate resident BE jobs onto survivors via the migration
@@ -2573,10 +2578,7 @@ fn apply_fault(
             let jobs = std::mem::take(&mut jobs_on[r]);
             for job in jobs {
                 let model = cfg.be_jobs[job];
-                let b = fleet_models
-                    .iter()
-                    .position(|&m| m == model)
-                    .expect("job model is a fleet model");
+                let b = be_slot(fleet_models, model);
                 // Clear the dead replica's mask so a later recovery does
                 // not resurrect a phantom resident.
                 fleet.mutate(r, |cell| cell.sim.state_mut().set_be_active(b, false));
@@ -2709,79 +2711,31 @@ fn process_retries(
         // (per-tier with a config, `RetryConfig::timeout_us` mirrored
         // otherwise) re-dispatching is doomed work — drop it now.
         if t - e.arrival_us > trt.hard[e.task] {
-            rt.timeout_drops += 1;
-            rt.drops_by_task[e.task] += 1;
-            if tel.is_on() {
-                tel.record(
-                    t,
-                    FLEET_TRACK,
-                    EventKind::TimeoutDropped {
-                        task: e.task as u32,
-                    },
-                );
-            }
+            rt.drop_timed_out(e.task, t, FLEET_TRACK, tel);
             continue;
         }
-        if fleet.use_cal {
-            #[cfg(debug_assertions)]
-            fleet.assert_views_current(jobs_on, rt, t);
-        } else {
-            fleet.rebuild_views(jobs_on, rt, t);
-        }
-        let any_healthy = if fleet.use_cal {
-            fleet.n_healthy > 0
-        } else {
-            fleet.views.iter().any(|v| v.healthy)
-        };
-        // With every member drained away (routable set empty) the
-        // healthy count is 0, so the entry backs off like a whole-fleet
-        // outage until a lane activates.
-        let target = if any_healthy {
-            let slot = if trt.enabled {
-                router.route_with_tier(&fleet.views, e.task, trt.rank[e.task], t)
-            } else {
-                router.route(&fleet.views, e.task, t)
-            };
-            assert!(
-                slot < fleet.views.len(),
-                "router picked slot {slot} of {}",
-                fleet.views.len()
-            );
-            Some(fleet.view_lane[slot] as usize)
-        } else {
-            None
-        };
-        match target {
+        // With every member drained away (routable set empty) no lane
+        // is picked, so the entry backs off like a whole-fleet outage
+        // until a lane activates.
+        match pick_lane(t, e.task, router, fleet, jobs_on, rt, trt) {
             Some(r) if fleet.alive[r] => {
                 fleet.mutate(r, |cell| cell.inject_requeued(e.task, e.arrival_us, t));
                 rt.retries += 1;
                 rt.lane_retries[r] += 1;
-                if tel.is_on() {
-                    tel.record(
-                        t,
-                        r as u32,
-                        EventKind::RetryDispatched {
-                            task: e.task as u32,
-                            attempt: e.attempt,
-                        },
-                    );
-                }
+                tel.record(
+                    t,
+                    r as u32,
+                    EventKind::RetryDispatched {
+                        task: e.task as u32,
+                        attempt: e.attempt,
+                    },
+                );
                 rt.redispatch_hist.record(t - e.drained_at);
             }
             _ => {
                 e.attempt += 1;
                 if e.attempt > trt.max_retries_for(e.task) {
-                    rt.timeout_drops += 1;
-                    rt.drops_by_task[e.task] += 1;
-                    if tel.is_on() {
-                        tel.record(
-                            t,
-                            FLEET_TRACK,
-                            EventKind::TimeoutDropped {
-                                task: e.task as u32,
-                            },
-                        );
-                    }
+                    rt.drop_timed_out(e.task, t, FLEET_TRACK, tel);
                 } else {
                     e.ready_at = t + rt.retry.backoff_us * f64::from(e.attempt);
                     rt.retry_q.push(e);
@@ -2791,171 +2745,123 @@ fn process_retries(
     }
 }
 
-/// Graceful degradation, evaluated every controller tick while a fault
-/// plan is active: when capacity drops below demand, shed BE work first
-/// (park every resident job), and under sustained overload drop pending
-/// requests of the lowest-priority LS service on the most backlogged
-/// survivor. Shed BE jobs resume once the fleet is whole and queues have
-/// drained to half the shed threshold.
-#[allow(clippy::too_many_arguments)]
-fn degrade(
-    cfg: &ClusterConfig,
-    at_us: f64,
-    n_ls: usize,
-    fleet_models: &[usize],
-    jobs_on: &mut [Vec<usize>],
+/// Picks the lane for one delivery — an arrival, a retry or a tier
+/// flush — at decision instant `t`. Brings the router views current
+/// first: the serial reference clock rebuilds them, the calendar clock
+/// checks its incremental snapshot against a rebuild under
+/// `debug_assertions` (callers patch dead lanes' health once per
+/// instant). Routes at the task's tier rank, which is 0 without a tier
+/// config, where every router must equal its tier-blind `route`.
+/// `None` when no routable lane looks healthy, including an empty
+/// routable set.
+fn pick_lane(
+    t: f64,
+    task: usize,
+    router: &mut dyn RoutingPolicy,
     fleet: &mut Fleet,
-    rt: &mut ChaosRt,
-    tel: &mut TelemetryRt,
-) {
-    let n = fleet.len();
-    // Degradation reasons over the routable membership: non-member
-    // lanes (warm, draining, retired) are neither capacity nor demand.
-    // With a static fleet every lane is routable, so this reduces
-    // exactly to the pre-elastic alive/total accounting.
-    let members = fleet.routable.iter().filter(|&&m| m).count();
-    let alive = (0..n)
-        .filter(|&r| fleet.routable[r] && fleet.alive[r])
-        .count();
-    if alive == 0 {
-        return;
+    jobs_on: &[Vec<usize>],
+    rt: &ChaosRt,
+    trt: &TierRt,
+) -> Option<usize> {
+    if fleet.use_cal {
+        #[cfg(debug_assertions)]
+        fleet.assert_views_current(jobs_on, rt, t);
+    } else {
+        fleet.rebuild_views(jobs_on, rt, t);
     }
-    let degraded = alive < members;
-    let backlog: usize = (0..n)
-        .filter(|&r| fleet.routable[r] && fleet.alive[r])
-        .map(|r| fleet.backlog[r] as usize)
-        .sum();
-    let per_alive = backlog / alive;
-    // Queueing shows up two ways depending on regime: as pending
-    // requests when arrivals outrun admission, and as windowed p99
-    // breach when the engine itself is the bottleneck. Either one while
-    // a replica is down means capacity dropped below demand.
-    let slo_pressure = (0..n).any(|r| fleet.routable[r] && fleet.alive[r] && fleet.ratio[r] > 1.0);
-    let slot_of = |model: usize| {
-        fleet_models
-            .iter()
-            .position(|&m| m == model)
-            .expect("job model is a fleet model")
-    };
-    if degraded && (per_alive > rt.degradation.shed_be_backlog || slo_pressure) {
-        for (r, jobs) in jobs_on.iter().enumerate() {
-            if !fleet.alive[r] || !fleet.routable[r] {
-                continue;
-            }
-            let mut parked = 0u32;
-            for &j in jobs {
-                if rt.job_shed[j] {
-                    continue;
-                }
-                rt.job_shed[j] = true;
-                rt.be_shed += 1;
-                let b = slot_of(cfg.be_jobs[j]);
-                fleet.mutate(r, |cell| {
-                    let st = cell.sim.state_mut();
-                    st.set_be_active(b, false);
-                    if st.be_launch.map(|l| l.task) == Some(b) {
-                        st.preempt_be();
-                    }
-                });
-                parked += 1;
-            }
-            if parked > 0 {
-                fleet.mutate(r, |cell| cell.dispatch());
-                if tel.is_on() {
-                    tel.record(at_us, r as u32, EventKind::BeParked { count: parked });
-                }
-            }
-        }
-    } else if !degraded && per_alive * 2 <= rt.degradation.shed_be_backlog && !slo_pressure {
-        for (r, jobs) in jobs_on.iter().enumerate() {
-            let mut resumed = false;
-            for &j in jobs {
-                if !rt.job_shed[j] {
-                    continue;
-                }
-                rt.job_shed[j] = false;
-                let b = slot_of(cfg.be_jobs[j]);
-                fleet.mutate(r, |cell| cell.sim.state_mut().set_be_active(b, true));
-                resumed = true;
-            }
-            if resumed {
-                fleet.mutate(r, |cell| cell.dispatch());
-            }
-        }
+    if fleet.n_healthy == 0 {
+        return None;
     }
-    if per_alive > rt.degradation.shed_ls_backlog {
-        // Victim selection must respect elastic membership: a draining
-        // or retired lane (`routable` false) may still carry backlog it
-        // is flushing out, but shedding there would double-punish work
-        // that is already exiting — the victim is the most backlogged
-        // lane among alive *routable* members only (regression-tested
-        // in cluster_chaos::shed_victim_skips_draining_lanes).
-        let victim = (0..n)
-            .filter(|&r| fleet.alive[r] && fleet.routable[r])
-            .max_by_key(|&r| (fleet.backlog[r], std::cmp::Reverse(r)));
-        if let Some(v) = victim {
-            let mut budget = rt.degradation.ls_shed_per_tick;
-            // Lowest priority = highest task index, shed first.
-            for task in (0..n_ls).rev() {
-                if budget == 0 {
-                    break;
-                }
-                let dropped =
-                    fleet.mutate(v, |cell| cell.sim.state_mut().shed_pending(task, budget));
-                budget -= dropped;
-                rt.ls_shed += dropped as u64;
-                if dropped > 0 && tel.is_on() {
-                    tel.record(
-                        at_us,
-                        v as u32,
-                        EventKind::LsShed {
-                            task: task as u32,
-                            count: dropped as u32,
-                        },
-                    );
-                }
-            }
-        }
-    }
+    let slot = router.route_with_tier(&fleet.views, task, trt.rank[task], t);
+    assert!(
+        slot < fleet.views.len(),
+        "router picked slot {slot} of {}",
+        fleet.views.len()
+    );
+    Some(fleet.view_lane[slot] as usize)
 }
 
-/// Tier-ordered brownout, evaluated every controller tick when a
-/// [`TiersConfig`] is attached — replaces the single-threshold
-/// [`degrade`] path. The ladder escalates one level per pressured tick
-/// (per-alive backlog above `enter_backlog`, or a windowed p99 breach
-/// on any routable survivor while backlog exceeds the `exit_backlog`
-/// calm floor): level 1 parks every BE job fleet-wide, then
-/// each eligible tier (BestEffort before Burstable, lower-priority
-/// tiers first) gains a *queue* level and a *shed* level in turn.
-/// Recovery runs the ladder in reverse: after `hold_ticks` consecutive
-/// calm ticks (backlog at or below `exit_backlog`, no SLO pressure)
-/// the level drops by one, re-admitting tiers in the opposite order
-/// they were browned. Guaranteed tiers never queue or shed.
-#[allow(clippy::too_many_arguments)]
-fn brownout(
-    cfg: &ClusterConfig,
+/// The fleet's overload control, evaluated every controller tick while
+/// a fault plan or a tier config is attached. It takes capacity from BE
+/// work first (park every resident job on the survivors, the §7.1
+/// eviction path) and then sheds pending LS requests on the most
+/// backlogged routable survivor.
+///
+/// The signals are read once, over the routable membership: warm,
+/// draining and retired lanes are neither capacity nor demand, and with
+/// a static fleet every lane is routable, so this is plain alive/total
+/// accounting. Queueing shows up two ways depending on regime: as
+/// pending requests when arrivals outrun admission (`per_alive`
+/// backlog), and as windowed p99 breach when the engine itself is the
+/// bottleneck (`slo_pressure`).
+///
+/// Two rules turn the signals into decisions; both drive the same
+/// actuators ([`park_all_be`], [`resume_all_be`], [`shed_ls`]):
+///
+/// * **Legacy** (no tier config): stateless [`DegradationConfig`]
+///   thresholds. BE parks while a member is down and the fleet is
+///   queueing or breaching; it resumes once the fleet is whole, the
+///   backlog has halved below the threshold and nothing breaches; in
+///   between, nothing changes. LS sheds, lowest-priority service
+///   (highest task index) first, whenever the per-alive backlog exceeds
+///   `shed_ls_backlog`, whether or not BE is parked.
+/// * **Tiered** ([`TiersConfig`]): the brownout ladder escalates one
+///   level per pressured tick (per-alive backlog above `enter_backlog`,
+///   or a breach while backlog exceeds the `exit_backlog` calm floor).
+///   Level 1 parks every BE job; then each eligible tier (BestEffort
+///   before Burstable, lower-priority tiers first) gains a *queue*
+///   level and a *shed* level in turn. After `hold_ticks` consecutive
+///   calm ticks (backlog at or below `exit_backlog`, no breach) the
+///   level drops by one, re-admitting tiers in the opposite order.
+///   Guaranteed tiers never queue or shed.
+///
+/// The legacy rule is not a ladder configuration: it has no
+/// hysteresis, its hold band parks nothing new, and its LS shed does
+/// not wait on BE parking — expressing it on the ladder would need new
+/// knobs and would change its results.
+fn overload_tick(
+    prep: &PreparedCluster,
     at_us: f64,
-    n_ls: usize,
-    fleet_models: &[usize],
-    jobs_on: &mut [Vec<usize>],
+    jobs_on: &[Vec<usize>],
     fleet: &mut Fleet,
     rt: &mut ChaosRt,
     trt: &mut TierRt,
     tel: &mut TelemetryRt,
 ) {
-    let n = fleet.len();
-    let alive = (0..n)
-        .filter(|&r| fleet.routable[r] && fleet.alive[r])
-        .count();
+    let (mut members, mut alive, mut backlog) = (0usize, 0usize, 0usize);
+    let mut slo_pressure = false;
+    for r in 0..fleet.len() {
+        if !fleet.routable[r] {
+            continue;
+        }
+        members += 1;
+        if fleet.alive[r] {
+            alive += 1;
+            backlog += fleet.backlog[r] as usize;
+            slo_pressure |= fleet.ratio[r] > 1.0;
+        }
+    }
     if alive == 0 {
         return;
     }
-    let backlog: usize = (0..n)
-        .filter(|&r| fleet.routable[r] && fleet.alive[r])
-        .map(|r| fleet.backlog[r] as usize)
-        .sum();
+    let degraded = alive < members;
     let per_alive = backlog / alive;
-    let slo_pressure = (0..n).any(|r| fleet.routable[r] && fleet.alive[r] && fleet.ratio[r] > 1.0);
+    let n_ls = prep.n_ls;
+
+    if !trt.enabled {
+        let d = rt.degradation.clone();
+        if degraded && (per_alive > d.shed_be_backlog || slo_pressure) {
+            park_all_be(prep, at_us, jobs_on, fleet, rt, tel);
+        } else if !degraded && per_alive * 2 <= d.shed_be_backlog && !slo_pressure {
+            resume_all_be(prep, jobs_on, fleet, rt);
+        }
+        if per_alive > d.shed_ls_backlog {
+            // Lowest priority = highest task index, shed first.
+            shed_ls(at_us, (0..n_ls).rev(), d.ls_shed_per_tick, fleet, rt, tel);
+        }
+        return;
+    }
+
     // SLO pressure only escalates when backlog sits above the calm
     // floor: a windowed p99 breach with near-empty queues is a
     // capacity artifact shedding cannot fix, and gating it keeps
@@ -2964,121 +2870,135 @@ fn brownout(
     let pressured = per_alive > trt.enter_backlog || (slo_pressure && per_alive > trt.exit_backlog);
     let calm = per_alive <= trt.exit_backlog && !slo_pressure;
     trt.step_ladder(pressured, calm);
-
     // Level ≥ 1: park every resident BE job (the cheapest capacity to
     // reclaim); level 0: resume anything still parked.
-    let slot_of = |model: usize| {
-        fleet_models
-            .iter()
-            .position(|&m| m == model)
-            .expect("job model is a fleet model")
-    };
     if trt.level >= 1 {
-        for (r, jobs) in jobs_on.iter().enumerate() {
-            if !fleet.alive[r] || !fleet.routable[r] {
-                continue;
-            }
-            let mut parked = 0u32;
-            for &j in jobs {
-                if rt.job_shed[j] {
-                    continue;
-                }
-                rt.job_shed[j] = true;
-                rt.be_shed += 1;
-                let b = slot_of(cfg.be_jobs[j]);
-                fleet.mutate(r, |cell| {
-                    let st = cell.sim.state_mut();
-                    st.set_be_active(b, false);
-                    if st.be_launch.map(|l| l.task) == Some(b) {
-                        st.preempt_be();
-                    }
-                });
-                parked += 1;
-            }
-            if parked > 0 {
-                fleet.mutate(r, |cell| cell.dispatch());
-                if tel.is_on() {
-                    tel.record(at_us, r as u32, EventKind::BeParked { count: parked });
-                }
-            }
-        }
+        park_all_be(prep, at_us, jobs_on, fleet, rt, tel);
     } else {
-        for (r, jobs) in jobs_on.iter().enumerate() {
-            let mut resumed = false;
-            for &j in jobs {
-                if !rt.job_shed[j] {
-                    continue;
-                }
-                rt.job_shed[j] = false;
-                let b = slot_of(cfg.be_jobs[j]);
-                fleet.mutate(r, |cell| cell.sim.state_mut().set_be_active(b, true));
-                resumed = true;
-            }
-            if resumed {
-                fleet.mutate(r, |cell| cell.dispatch());
-            }
-        }
+        resume_all_be(prep, jobs_on, fleet, rt);
     }
 
     // Expire queued admissions whose hard deadline has passed — they
     // can no longer complete on-SLO, so holding them is doomed work.
-    {
-        let TierRt { queues, hard, .. } = trt;
-        for q in queues.iter_mut() {
-            q.retain(|&(task, arrival_us)| {
-                if at_us - arrival_us > hard[task as usize] {
-                    rt.timeout_drops += 1;
-                    rt.drops_by_task[task as usize] += 1;
-                    if tel.is_on() {
-                        tel.record(at_us, FLEET_TRACK, EventKind::TimeoutDropped { task });
-                    }
-                    false
-                } else {
-                    true
-                }
-            });
-        }
+    let TierRt { queues, hard, .. } = trt;
+    for q in queues.iter_mut() {
+        q.retain(|&(task, arrival_us)| {
+            if at_us - arrival_us > hard[task as usize] {
+                rt.drop_timed_out(task as usize, at_us, FLEET_TRACK, tel);
+                false
+            } else {
+                true
+            }
+        });
     }
 
-    // Active shed: tiers at or past their shed level lose already
-    // admitted pending work on the most backlogged routable survivor
-    // (same victim rule the legacy path uses — draining/retired lanes
-    // are never victims), lowest tier first within the budget.
-    let any_shedding = (0..trt.n_tiers()).any(|r| trt.level >= trt.shed_level[r]);
-    if any_shedding {
-        let victim = (0..n)
-            .filter(|&r| fleet.alive[r] && fleet.routable[r])
-            .max_by_key(|&r| (fleet.backlog[r], std::cmp::Reverse(r)));
-        if let Some(v) = victim {
-            let mut budget = trt.shed_per_tick;
-            'ranks: for rank in (0..trt.n_tiers()).rev() {
-                if trt.level < trt.shed_level[rank] {
-                    continue;
-                }
-                for task in (0..n_ls).rev() {
-                    if trt.rank[task] as usize != rank {
-                        continue;
-                    }
-                    if budget == 0 {
-                        break 'ranks;
-                    }
-                    let dropped =
-                        fleet.mutate(v, |cell| cell.sim.state_mut().shed_pending(task, budget));
-                    budget -= dropped;
-                    rt.ls_shed += dropped as u64;
-                    rt.shed_by_task[task] += dropped as u64;
-                    if dropped > 0 && tel.is_on() {
-                        tel.record(
-                            at_us,
-                            v as u32,
-                            EventKind::LsShed {
-                                task: task as u32,
-                                count: dropped as u32,
-                            },
-                        );
-                    }
-                }
+    // Tiers at or past their shed level lose already admitted pending
+    // work, lowest tier first, services of a tier by descending index.
+    let trt = &*trt;
+    let shedding = (0..trt.n_tiers())
+        .rev()
+        .filter(|&k| trt.level >= trt.shed_level[k])
+        .flat_map(|k| {
+            (0..n_ls)
+                .rev()
+                .filter(move |&task| trt.rank[task] as usize == k)
+        });
+    shed_ls(at_us, shedding, trt.shed_per_tick, fleet, rt, tel);
+}
+
+/// Parks every resident BE job on the alive routable lanes (parked jobs
+/// stay parked across migrations until [`resume_all_be`]) and lets each
+/// touched lane's policy react to the freed resources.
+fn park_all_be(
+    prep: &PreparedCluster,
+    at_us: f64,
+    jobs_on: &[Vec<usize>],
+    fleet: &mut Fleet,
+    rt: &mut ChaosRt,
+    tel: &mut TelemetryRt,
+) {
+    for (r, jobs) in jobs_on.iter().enumerate() {
+        if !fleet.alive[r] || !fleet.routable[r] {
+            continue;
+        }
+        let mut parked = 0u32;
+        for &j in jobs {
+            if rt.job_shed[j] {
+                continue;
             }
+            rt.job_shed[j] = true;
+            rt.be_shed += 1;
+            let b = be_slot(&prep.fleet_models, prep.cfg.be_jobs[j]);
+            fleet.mutate(r, |cell| cell.park_be(b));
+            parked += 1;
+        }
+        if parked > 0 {
+            fleet.mutate(r, |cell| cell.dispatch());
+            tel.record(at_us, r as u32, EventKind::BeParked { count: parked });
+        }
+    }
+}
+
+/// Resumes every parked BE job where it now resides.
+fn resume_all_be(
+    prep: &PreparedCluster,
+    jobs_on: &[Vec<usize>],
+    fleet: &mut Fleet,
+    rt: &mut ChaosRt,
+) {
+    for (r, jobs) in jobs_on.iter().enumerate() {
+        let mut resumed = false;
+        for &j in jobs {
+            if !rt.job_shed[j] {
+                continue;
+            }
+            rt.job_shed[j] = false;
+            let b = be_slot(&prep.fleet_models, prep.cfg.be_jobs[j]);
+            fleet.mutate(r, |cell| cell.sim.state_mut().set_be_active(b, true));
+            resumed = true;
+        }
+        if resumed {
+            fleet.mutate(r, |cell| cell.dispatch());
+        }
+    }
+}
+
+/// Sheds up to `budget` pending (never in-flight) LS requests on the
+/// most backlogged routable survivor, visiting `tasks` in the rule's
+/// shed order. Victim selection must respect elastic membership: a
+/// draining or retired lane (`routable` false) may still carry backlog
+/// it is flushing out, but shedding there would double-punish work that
+/// is already exiting (regression-tested in
+/// cluster_chaos::shed_victim_skips_draining_lanes).
+fn shed_ls(
+    at_us: f64,
+    tasks: impl Iterator<Item = usize>,
+    mut budget: usize,
+    fleet: &mut Fleet,
+    rt: &mut ChaosRt,
+    tel: &mut TelemetryRt,
+) {
+    let victim = (0..fleet.len())
+        .filter(|&r| fleet.alive[r] && fleet.routable[r])
+        .max_by_key(|&r| (fleet.backlog[r], std::cmp::Reverse(r)));
+    let Some(v) = victim else { return };
+    for task in tasks {
+        if budget == 0 {
+            break;
+        }
+        let dropped = fleet.mutate(v, |cell| cell.sim.state_mut().shed_pending(task, budget));
+        budget -= dropped;
+        rt.ls_shed += dropped as u64;
+        rt.shed_by_task[task] += dropped as u64;
+        if dropped > 0 {
+            tel.record(
+                at_us,
+                v as u32,
+                EventKind::LsShed {
+                    task: task as u32,
+                    count: dropped as u32,
+                },
+            );
         }
     }
 }
@@ -3111,44 +3031,33 @@ fn tier_flush(
         }
         while let Some(&(task, arrival_us)) = trt.queues[rank].front() {
             let task = task as usize;
-            if fleet.use_cal {
-                #[cfg(debug_assertions)]
-                fleet.assert_views_current(jobs_on, rt, t);
-            } else {
-                fleet.rebuild_views(jobs_on, rt, t);
-            }
-            let any_healthy = if fleet.use_cal {
-                fleet.n_healthy > 0
-            } else {
-                fleet.views.iter().any(|v| v.healthy)
-            };
-            if !any_healthy {
+            let Some(r) = pick_lane(t, task, router, fleet, jobs_on, rt, trt) else {
                 break;
-            }
+            };
             trt.queues[rank].pop_front();
-            let slot = router.route_with_tier(&fleet.views, task, rank as u32, t);
-            assert!(
-                slot < fleet.views.len(),
-                "router picked slot {slot} of {}",
-                fleet.views.len()
-            );
-            let r = fleet.view_lane[slot] as usize;
             if fleet.alive[r] {
                 fleet.mutate(r, |cell| cell.inject_requeued(task, arrival_us, t));
-                if tel.is_on() {
-                    // Attempt 0 marks a queued-admission dispatch, not
-                    // a crash retry.
-                    tel.record(
-                        t,
-                        r as u32,
-                        EventKind::RetryDispatched {
-                            task: task as u32,
-                            attempt: 0,
-                        },
-                    );
-                }
+                // Attempt 0 marks a queued-admission dispatch, not a
+                // crash retry.
+                tel.record(
+                    t,
+                    r as u32,
+                    EventKind::RetryDispatched {
+                        task: task as u32,
+                        attempt: 0,
+                    },
+                );
             } else {
-                rt.requeue(task, arrival_us, t, Some(r), trt.max_retries_for(task));
+                let budget = trt.max_retries_for(task);
+                rt.requeue(
+                    task,
+                    arrival_us,
+                    t,
+                    Some(r),
+                    RequeueCause::DeadRoute,
+                    budget,
+                    tel,
+                );
             }
         }
     }
@@ -3211,19 +3120,10 @@ fn controller_rebalance(
         });
         let Some(job) = movable else { continue };
         let model = cfg.be_jobs[job];
-        let b = fleet_models
-            .iter()
-            .position(|&m| m == model)
-            .expect("job model is a fleet model");
+        let b = be_slot(fleet_models, model);
         // Park on the source: stop future launches, evict the running
         // kernel if it is this task's (§7.1 eviction flag).
-        fleet.mutate(src, |cell| {
-            let st = cell.sim.state_mut();
-            st.set_be_active(b, false);
-            if st.be_launch.map(|l| l.task) == Some(b) {
-                st.preempt_be();
-            }
-        });
+        fleet.mutate(src, |cell| cell.park_be(b));
         // Resume on the destination.
         fleet.mutate(dst, |cell| cell.sim.state_mut().set_be_active(b, true));
         let pos = jobs_on[src]
@@ -3758,36 +3658,17 @@ pub fn run_cluster_prepared(
                 &rt.job_shed,
                 &mut dests,
             );
-            if trt.enabled {
-                // Tiered brownout replaces the legacy single-threshold
-                // path — it runs every tick (overload needs no fault
-                // plan: diurnal peaks and autoscaler lag qualify).
-                brownout(
-                    cfg,
-                    next_tick,
-                    n_ls,
-                    &prep.fleet_models,
-                    &mut jobs_on,
-                    &mut fleet,
-                    &mut rt,
-                    &mut trt,
-                    &mut tel,
-                );
-            } else if chaos_on {
-                degrade(
-                    cfg,
-                    next_tick,
-                    n_ls,
-                    &prep.fleet_models,
-                    &mut jobs_on,
-                    &mut fleet,
-                    &mut rt,
-                    &mut tel,
+            // The tiered rule runs every tick (overload needs no fault
+            // plan: diurnal peaks and autoscaler lag qualify); the
+            // legacy rule only under a fault plan.
+            if trt.enabled || chaos_on {
+                overload_tick(
+                    prep, next_tick, &jobs_on, &mut fleet, &mut rt, &mut trt, &mut tel,
                 );
             }
             tel.sync_logs(&migrations, &ert.events);
             // Ticks move the two slow view fields (windowed ratio, BE
-            // residency via rebalance/degrade), so the incremental
+            // residency via rebalance and the overload tick), so the incremental
             // snapshot re-bases here — the tick already walked every
             // lane to drain completions, so this adds no complexity
             // class.
@@ -3841,17 +3722,12 @@ pub fn run_cluster_prepared(
         );
         let route_t0 = tel.clk();
         rt.last_decision_us = a.at_us;
-        // The calendar clock routes against the incremental views — an
-        // O(1) touch-up of dead lanes' health (a no-op while the fleet
-        // is whole) instead of the serial reference's O(replicas)
-        // rebuild — checked against a fresh rebuild under
-        // debug_assertions.
+        // Dead lanes' health is a function of the instant alone: the
+        // calendar clock touches it up once here (a no-op while the
+        // fleet is whole) instead of the serial reference's
+        // O(replicas) rebuild in `pick_lane`.
         if fleet.use_cal {
             fleet.patch_health(&rt, a.at_us);
-            #[cfg(debug_assertions)]
-            fleet.assert_views_current(&jobs_on, &rt, a.at_us);
-        } else {
-            fleet.rebuild_views(&jobs_on, &rt, a.at_us);
         }
         // Admission control runs before routing: the decision is a pure
         // function of the brownout level (moved only at ticks) and the
@@ -3890,91 +3766,26 @@ pub fn run_cluster_prepared(
                 continue;
             }
         }
-        let any_healthy = if fleet.use_cal {
-            fleet.n_healthy > 0
-        } else {
-            fleet.views.iter().any(|v| v.healthy)
-        };
-        let no_target = fleet.views.is_empty();
-        if no_target || (chaos_on && !any_healthy) {
-            // Whole fleet unhealthy (or every lane drained away):
-            // the request parks in the retry queue instead of being
-            // forced onto a dead replica.
-            let queued = rt.requeue(
-                a.task as usize,
-                a.at_us,
-                a.at_us,
-                None,
-                trt.max_retries_for(a.task as usize),
-            );
-            if tel.is_on() {
-                tel.record(
-                    a.at_us,
-                    FLEET_TRACK,
-                    EventKind::Requeued {
-                        task: a.task,
-                        cause: RequeueCause::NoHealthy,
-                    },
-                );
-                if !queued {
-                    tel.record(
-                        a.at_us,
-                        FLEET_TRACK,
-                        EventKind::TimeoutDropped { task: a.task },
-                    );
-                }
+        let task = a.task as usize;
+        let budget = trt.max_retries_for(task);
+        match pick_lane(a.at_us, task, router, &mut fleet, &jobs_on, &rt, &trt) {
+            Some(r) if fleet.alive[r] => {
+                fleet.mutate(r, |cell| cell.inject(task, a.at_us));
+                tel.record(a.at_us, r as u32, EventKind::Routed { task: a.task });
             }
-            tel.prof.route_ns += TelemetryRt::lap(route_t0);
-            continue;
-        }
-        let slot = if trt.enabled {
-            router.route_with_tier(
-                &fleet.views,
-                a.task as usize,
-                trt.rank[a.task as usize],
-                a.at_us,
-            )
-        } else {
-            router.route(&fleet.views, a.task as usize, a.at_us)
-        };
-        debug_assert!(
-            slot < fleet.views.len(),
-            "router picked slot {slot} of {}",
-            fleet.views.len()
-        );
-        let target = fleet.view_lane[slot] as usize;
-        if fleet.alive[target] {
-            fleet.mutate(target, |cell| cell.inject(a.task as usize, a.at_us));
-            if tel.is_on() {
-                tel.record(a.at_us, target as u32, EventKind::Routed { task: a.task });
-            }
-        } else {
             // Routed at a dead replica still inside its heartbeat
             // window — the crash has not aged out yet, so the request
             // bounces into the retry path like a failed delivery.
-            let queued = rt.requeue(
-                a.task as usize,
-                a.at_us,
-                a.at_us,
-                Some(target),
-                trt.max_retries_for(a.task as usize),
-            );
-            if tel.is_on() {
-                tel.record(
-                    a.at_us,
-                    target as u32,
-                    EventKind::Requeued {
-                        task: a.task,
-                        cause: RequeueCause::DeadRoute,
-                    },
-                );
-                if !queued {
-                    tel.record(
-                        a.at_us,
-                        target as u32,
-                        EventKind::TimeoutDropped { task: a.task },
-                    );
-                }
+            Some(r) => {
+                let cause = RequeueCause::DeadRoute;
+                rt.requeue(task, a.at_us, a.at_us, Some(r), cause, budget, &mut tel);
+            }
+            // Whole fleet unhealthy (or every lane drained away): the
+            // request parks in the retry queue instead of being forced
+            // onto a dead replica.
+            None => {
+                let cause = RequeueCause::NoHealthy;
+                rt.requeue(task, a.at_us, a.at_us, None, cause, budget, &mut tel);
             }
         }
         tel.prof.route_ns += TelemetryRt::lap(route_t0);

@@ -16,10 +16,12 @@
 //!   p99-pressure observation the autoscaler reads). Under overload,
 //!   lower tiers are first *queued* in bounded per-tier queues, then
 //!   *refused* outright, with the reason recorded in telemetry.
-//! * **Brownout ladder** — `degrade()` becomes a tier-ordered state
-//!   machine: park BE → queue the lowest tier → shed it → queue the
-//!   next tier → … Recovery steps back down one level per calm window
-//!   (hysteresis), re-admitting tiers in reverse order.
+//! * **Brownout ladder** — the fleet's overload tick swaps the legacy
+//!   single-threshold rule for a tier-ordered state machine: park BE →
+//!   queue the lowest tier → shed it → queue the next tier → …
+//!   Recovery steps back down one level per calm window (hysteresis),
+//!   re-admitting tiers in reverse order. Both rules share the tick's
+//!   signals and its park/resume/shed actuators.
 //! * **Deadline-aware retries** — each tier carries its own max-retry
 //!   budget and a hard deadline measured from *original* arrival;
 //!   doomed redispatches are dropped instead of burning survivor
@@ -28,8 +30,9 @@
 //!   figure of merit tiered admission is judged on.
 //!
 //! With `ClusterConfig::tiers == None` nothing here runs: the arrival
-//! fast path, the legacy degradation thresholds and the retry rules are
-//! bit-identical to the tier-blind simulator.
+//! path, the overload tick's legacy rule (the `DegradationConfig`
+//! thresholds) and the retry rules are bit-identical to the tier-blind
+//! simulator.
 
 /// How the admission controller may treat a tier's arrivals under
 /// overload.
@@ -286,8 +289,7 @@ pub struct TierOutcome {
     pub refused_overload: u64,
     /// Arrivals refused because the tier's admission queue was full.
     pub refused_queue_full: u64,
-    /// Pending requests dropped by brownout shedding (plus legacy-path
-    /// sheds attributed to the tier's services).
+    /// Pending requests dropped by brownout shedding.
     pub shed: u64,
     /// Requests dropped on deadline/retry exhaustion (retry queue and
     /// admission-queue expiry combined).

@@ -204,6 +204,11 @@ fn throttle_slows_progress_deterministically() {
 /// With one replica permanently down and aggressive thresholds, the
 /// controller sheds BE work first and then pending low-priority LS
 /// requests on the overloaded survivor.
+///
+/// No benchmark workload runs the overload tick's legacy rule (the
+/// tiered scenarios take the ladder, the rest carry no fault plan), so
+/// this scenario pins its outcome exactly: any drift in the rule's
+/// thresholds, actuators, shed order or victim choice shows up here.
 #[test]
 fn degradation_sheds_be_first_then_low_priority_ls() {
     let mut cfg = base_cfg();
@@ -229,9 +234,33 @@ fn degradation_sheds_be_first_then_low_priority_ls() {
         res.ls_shed
     );
     assert_conserved(&res);
+    // (ls_shed, be_shed, timeout_drops, requests, slo_met) at the
+    // profile's horizon (`short_horizon`), plus the fleet's summed LS
+    // latency, which moves whenever a different request is shed.
+    let (pinned, latency_sum_us) = if cfg!(debug_assertions) {
+        ((34, 2, 0, 113, 43), 1437328.8418865325)
+    } else {
+        ((107, 2, 0, 319, 126), 5411773.935661066)
+    };
+    assert_eq!(
+        (
+            res.ls_shed,
+            res.be_shed,
+            res.timeout_drops,
+            res.requests,
+            res.slo_met
+        ),
+        pinned,
+        "legacy overload rule drifted (ls_shed, be_shed, timeout_drops, requests, slo_met)"
+    );
+    assert_eq!(
+        res.fleet_hist.sum(),
+        latency_sum_us,
+        "legacy overload rule drifted (fleet latency sum)"
+    );
 }
 
-/// Regression (tiered-SLO PR audit): `degrade()`'s most-backlogged
+/// Regression (tiered-SLO PR audit): the overload tick's most-backlogged
 /// shed victim must respect elastic membership — a lane that is
 /// Draining or Retired is not routable and must never be the LS-shed
 /// target, even when it still carries the largest flushing backlog.

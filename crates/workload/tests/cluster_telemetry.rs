@@ -16,11 +16,13 @@
 
 use gpu_spec::GpuModel;
 use proptest::prelude::*;
-use workload::chaos::FaultPlan;
+use workload::chaos::{FaultEvent, FaultPlan};
 use workload::cluster::{ClockKind, ClusterConfig, ControllerConfig, RouterKind};
 use workload::elastic::{ElasticConfig, ScalingPolicyKind, ThresholdPolicy, WarmPoolConfig};
 use workload::trace::TraceConfig;
-use workload::{ClusterResult, EventKind, SystemKind, TelemetryConfig};
+use workload::{
+    ClusterResult, EventKind, RequeueCause, SystemKind, TelemetryConfig, TierConfig, TiersConfig,
+};
 
 fn short_horizon() -> f64 {
     if cfg!(debug_assertions) {
@@ -191,6 +193,96 @@ fn requeue_attribution_sums_to_fleet_totals() {
         assert_eq!(
             res.retries, lane_retries,
             "seed {fault_seed}: retry attribution leaks"
+        );
+    }
+}
+
+/// Every requeue leaves a `Requeued` event and every timeout drop a
+/// `TimeoutDropped` event, whichever path produced it. That includes a
+/// tier flush that routes a queued admission at a dead lane whose
+/// heartbeat has not aged out yet, bouncing it into the retry path (or
+/// straight to a drop for a zero-retry tier). The tiered crash scenario
+/// below makes that bounce fire — a dead-route requeue at a controller
+/// tick instant, where only flushes deliver — and the event counts must
+/// then reconcile exactly with `requeued` and `timeout_drops`.
+#[test]
+fn requeue_and_drop_events_reconcile_with_counters() {
+    let mut cfg = ClusterConfig::new(
+        vec![GpuModel::RtxA2000, GpuModel::Gtx1080],
+        SystemKind::Sgdrc,
+    );
+    cfg.horizon_us = 1e5;
+    cfg.trace = TraceConfig::apollo_like().scaled(2.5).with_bursts(2.0, 0.4);
+    cfg.controller = ControllerConfig {
+        period_us: 1e4,
+        breach_ratio: 0.9,
+        adaptive_ch_be: true,
+        ..Default::default()
+    };
+    let n_ls = cfg.prepare().n_ls();
+    let mut tiers = TiersConfig::new(
+        (0..n_ls)
+            .map(|task| {
+                if task == 0 {
+                    TierConfig::guaranteed(8.0)
+                } else if task < n_ls / 2 {
+                    TierConfig::burstable(2, 3.0)
+                } else {
+                    TierConfig::best_effort(3, 1.0)
+                }
+            })
+            .collect(),
+    );
+    tiers.enter_backlog = 4;
+    tiers.exit_backlog = 2;
+    tiers.hold_ticks = 2;
+    tiers.queue_capacity = 8;
+    tiers.shed_per_tick = 16;
+    cfg.tiers = Some(tiers);
+    cfg.chaos = Some(FaultPlan::new(vec![FaultEvent::crash(
+        0,
+        0.25 * cfg.horizon_us,
+        f64::INFINITY,
+    )]));
+    let period = cfg.controller.period_us;
+    for clock in [ClockKind::Serial, ClockKind::Parallel] {
+        let res = run_with(
+            &cfg,
+            RouterKind::P2cSlo,
+            clock,
+            Some(TelemetryConfig::default()),
+        );
+        let tel = res.telemetry.as_ref().expect("recorder was enabled");
+        assert_eq!(tel.dropped_events, 0, "the default ring must hold this run");
+        let count = |pred: &dyn Fn(&EventKind) -> bool| {
+            tel.events.iter().filter(|e| pred(&e.kind)).count() as u64
+        };
+        assert_eq!(
+            count(&|k| matches!(k, EventKind::Requeued { .. })),
+            res.requeued,
+            "{clock:?}: Requeued events disagree with the requeued counter"
+        );
+        assert_eq!(
+            count(&|k| matches!(k, EventKind::TimeoutDropped { .. })),
+            res.timeout_drops,
+            "{clock:?}: TimeoutDropped events disagree with the drop counter"
+        );
+        let flush_bounces = tel
+            .events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    EventKind::Requeued {
+                        cause: RequeueCause::DeadRoute,
+                        ..
+                    }
+                ) && (e.at_us / period).fract() == 0.0
+            })
+            .count();
+        assert!(
+            flush_bounces > 0,
+            "{clock:?}: the scenario must bounce a tier flush off the dead lane"
         );
     }
 }

@@ -1,10 +1,16 @@
 //! Join-shortest-backlog routes with one packed-key scan; these
 //! properties pin every choice it makes to the tuple-keyed
 //! `min_by_key` it replaced, which lives on here only as the oracle.
+//! The fleet clock routes every delivery through `route_with_tier`
+//! (rank 0 without a tier config), so every built-in router is also
+//! held to the trait's rule that rank 0 is `route`, state included.
 
 use gpu_spec::GpuModel;
 use proptest::prelude::*;
-use workload::{JoinShortestBacklog, ReplicaView, RoutingPolicy};
+use std::fmt::Debug;
+use workload::{
+    JoinShortestBacklog, ReplicaView, RoundRobin, RouterKind, RoutingPolicy, SloAwarePowerOfTwo,
+};
 
 /// The tuple-keyed reference: unhealthy last, then shortest backlog,
 /// ties to the lowest index.
@@ -113,6 +119,75 @@ proptest! {
             oracle_route_with_tier(&views, tier_rank)
         );
         prop_assert_eq!(router.route_with_tier(&views, 0, 0, 0.0), router.route(&views, 0, 0.0));
+    }
+}
+
+/// Feeds one sequence of views to two same-seeded routers, one through
+/// `route` and one through `route_with_tier` at rank 0: every pick and
+/// every internal state (p2c chain, round-robin cursor) must agree.
+fn assert_rank0_is_route<R: RoutingPolicy + Debug>(
+    mut blind: R,
+    mut ranked: R,
+    steps: &[Vec<ReplicaView>],
+) {
+    for (i, views) in steps.iter().enumerate() {
+        let (task, at_us) = (i % 3, i as f64 * 10.0);
+        prop_assert_eq!(
+            blind.route(views, task, at_us),
+            ranked.route_with_tier(views, task, 0, at_us),
+            "{} diverged at call {}",
+            blind.name(),
+            i
+        );
+        prop_assert_eq!(format!("{blind:?}"), format!("{ranked:?}"));
+    }
+}
+
+proptest! {
+    /// Rank 0 of the tier-aware route is the tier-blind route for every
+    /// built-in router, call for call over a shared view sequence whose
+    /// fleet size, health and load change between calls.
+    #[test]
+    fn rank_zero_is_route_for_every_router(
+        steps in prop::collection::vec(
+            (
+                prop::collection::vec(
+                    (0u32..100, 0u8..12, 0usize..4, 0usize..usize::MAX, prop::sample::select(ratios())),
+                    1..40,
+                ),
+                prop::sample::select(vec![0u32, 5, 50, 95, 100]),
+            ),
+            1..30,
+        ),
+        seed in 0u64..u64::MAX,
+    ) {
+        let steps: Vec<Vec<ReplicaView>> = steps
+            .iter()
+            .map(|(elems, unhealthy_pct)| views_of(elems, *unhealthy_pct, false))
+            .collect();
+        for kind in RouterKind::all() {
+            match kind {
+                RouterKind::RoundRobin => {
+                    assert_rank0_is_route(RoundRobin::default(), RoundRobin::default(), &steps)
+                }
+                RouterKind::ShortestBacklog => {
+                    assert_rank0_is_route(JoinShortestBacklog, JoinShortestBacklog, &steps)
+                }
+                RouterKind::P2cSlo => assert_rank0_is_route(
+                    SloAwarePowerOfTwo::new(seed),
+                    SloAwarePowerOfTwo::new(seed),
+                    &steps,
+                ),
+            }
+            // The boxed policies the fleet clock actually holds.
+            let (mut blind, mut ranked) = (kind.make(seed), kind.make(seed));
+            for (i, views) in steps.iter().enumerate() {
+                prop_assert_eq!(
+                    blind.route(views, 0, i as f64),
+                    ranked.route_with_tier(views, 0, 0, i as f64)
+                );
+            }
+        }
     }
 }
 
